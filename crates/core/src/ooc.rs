@@ -57,16 +57,6 @@ pub struct OocOptions {
     pub dir: PathBuf,
 }
 
-impl OocOptions {
-    /// Options with the given chunk size, scratch under the system temp dir.
-    pub fn with_chunk(chunk: usize) -> Self {
-        OocOptions {
-            chunk,
-            dir: std::env::temp_dir().join("scalparc-par-ooc"),
-        }
-    }
-}
-
 /// One disk-resident segment plus the running local counts that
 /// FindSplitI would otherwise re-read the whole list to compute:
 /// continuous segments carry the local class histogram and the last

@@ -309,6 +309,15 @@ impl Comm {
         self.clock.start_compute();
     }
 
+    /// This rank unwound with a panic and enters no more collectives:
+    /// give up what its peers would wait for. A rank that panicked inside a
+    /// measured segment still holds the compute token; releasing one it
+    /// does not hold only over-credits a machine that is already dead.
+    pub(crate) fn abandon(&self) {
+        self.shared.tokens.release();
+        self.shared.barrier.poison();
+    }
+
     pub(crate) fn finish(&mut self) -> RankStats {
         self.clock.stop_compute();
         self.shared.tokens.release();

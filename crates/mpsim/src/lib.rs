@@ -39,6 +39,7 @@
 //! invoked by any subset. Violations deadlock or panic; they never produce
 //! wrong data silently.
 
+mod barrier;
 pub mod clock;
 pub mod comm;
 pub mod cost;

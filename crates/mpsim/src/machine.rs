@@ -4,8 +4,9 @@
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 
+use crate::barrier::{Barrier, PeerPanicked};
 use crate::clock::SimClock;
 pub use crate::clock::TimingMode;
 use crate::comm::Comm;
@@ -161,10 +162,13 @@ fn pin_to_others(ncores: usize) {
 /// Counting semaphore gating measured compute segments.
 ///
 /// FIFO handoff built on per-thread parking: a release wakes exactly one
-/// waiter and nobody spins. This matters for measurement quality — with a
-/// condvar- or spin-based semaphore, every barrier release stampedes ~p
-/// waiters onto the lock, stealing CPU from the one measured segment that
-/// is running and systematically inflating its wall time.
+/// waiter, and a waiter for the token never spins. This matters for
+/// measurement quality — with a condvar- or spin-based semaphore, every
+/// barrier release stampedes ~p waiters onto the lock, stealing CPU from
+/// the one measured segment that is running and systematically inflating
+/// its wall time. Barrier waits ([`crate::barrier`]) spin and yield only on
+/// free-running machines, where there are no tokens and nothing is
+/// measured; on a measured machine they park at once.
 pub(crate) struct Tokens {
     state: Mutex<TokenState>,
     enabled: bool,
@@ -289,7 +293,7 @@ impl Shared {
         Shared {
             procs: p,
             cost: cfg.cost,
-            barrier: Barrier::new(p),
+            barrier: Barrier::new(p, cfg.timing),
             slots: (0..p).map(|_| Mutex::new(None)).collect(),
             clock_board: (0..p)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -328,12 +332,15 @@ enum RankEnd<T> {
     Crashed(CrashSignal, RankStats),
     /// Unwound with an ordinary panic — a real bug, re-raised by the driver.
     Panicked(Box<dyn Any + Send>),
+    /// Unwound out of a barrier wait because a peer panicked.
+    PeerPanicked,
 }
 
 /// Run `f` as an SPMD program on `cfg.procs` virtual processors.
 ///
 /// `f` is invoked once per rank with that rank's [`Comm`] handle. The
-/// returned outputs are ordered by rank. Panics in any rank propagate.
+/// returned outputs are ordered by rank. A panic in any rank propagates:
+/// its peers unwind at their next collective instead of waiting for it.
 /// A crash injected by [`MachineCfg::fault`] panics too — use [`try_run`]
 /// to observe crashes as values.
 pub fn run<T, F>(cfg: &MachineCfg, f: F) -> RunResult<T>
@@ -424,7 +431,14 @@ where
                                 // before unwinding, so the partial statistics
                                 // are still collectable.
                                 Ok(sig) => RankEnd::Crashed(*sig, comm.finish()),
-                                Err(other) => RankEnd::Panicked(other),
+                                Err(other) => {
+                                    comm.abandon();
+                                    if other.is::<PeerPanicked>() {
+                                        RankEnd::PeerPanicked
+                                    } else {
+                                        RankEnd::Panicked(other)
+                                    }
+                                }
                             },
                         });
                         // Hand the comm back so point-to-point channels stay
@@ -460,8 +474,15 @@ where
                 ranks.push(s);
             }
             RankEnd::Panicked(payload) => std::panic::resume_unwind(payload),
+            // The peer it unwound for is a `Panicked` further down.
+            RankEnd::PeerPanicked => {}
         }
     }
+    assert_eq!(
+        ranks.len(),
+        p,
+        "a rank unwound for a peer that did not panic"
+    );
     let stats = RunStats { ranks };
     match crash {
         Some(signal) => Err(Crash { signal, stats }),
@@ -526,10 +547,49 @@ mod tests {
             if c.rank() == 1 {
                 panic!("boom");
             }
-            // Rank 0 must not block on a collective here, or the machine
-            // deadlocks instead of propagating. Plain return is fine.
             0
         });
+    }
+
+    /// A rank that panics takes the machine down with its own panic; peers
+    /// blocked in (or on their way to) a collective do not wait for it.
+    #[test]
+    fn rank_panic_wakes_peers_waiting_in_a_collective() {
+        for timing in [TimingMode::Free, TimingMode::Measured] {
+            let (tx, rx) = channel();
+            std::thread::spawn(move || {
+                let mut cfg = MachineCfg::new(4);
+                cfg.timing = timing;
+                let caught = std::panic::catch_unwind(|| {
+                    run(&cfg, |c| {
+                        c.barrier();
+                        if c.rank() == 2 {
+                            panic!("rank 2 ran out of descriptors");
+                        }
+                        c.allreduce(1u64, |a, b| *a += *b)
+                    })
+                });
+                let _ = tx.send(caught.map(|_| ()));
+            });
+            let payload = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("machine hung on a panicked rank")
+                .expect_err("the rank's panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"rank 2 ran out of descriptors"),
+                "the original panic is re-raised, not a peer's"
+            );
+        }
+    }
+
+    #[test]
+    fn only_free_running_machines_poll_at_the_barrier() {
+        assert!(Shared::new(&MachineCfg::new(4)).barrier.polls());
+        // Nobody spins or yields while a segment is being measured: the
+        // waiters' whole budget is zero.
+        let measured = Shared::new(&MachineCfg::measured(4, CostModel::free()));
+        assert!(!measured.barrier.polls());
     }
 
     #[test]

@@ -144,3 +144,42 @@ fn levels_and_tree_shape_independent_of_p() {
     assert_eq!(r1.max_active_nodes, r8.max_active_nodes);
     assert_eq!(r1.tree, r8.tree);
 }
+
+/// The host-side barrier under the collectives is invisible to the
+/// simulated machine: a free-running p = 8 induction ends with exactly the
+/// per-rank clock, traffic and peak memory it had under
+/// `std::sync::Barrier` (values recorded at the commit before the swap;
+/// record them again when the collective sequence or the cost model is
+/// changed on purpose).
+#[test]
+fn free_running_rank_stats_do_not_depend_on_the_host_barrier() {
+    // (clock_ns, comm_ns, bytes_sent, bytes_recv, msgs_sent, peak_mem)
+    const WANT: [(u64, u64, u64, u64, u64, u64); 8] = [
+        (60_327_237, 60_327_237, 206_152, 209_724, 233, 87_104),
+        (60_327_237, 60_327_237, 226_190, 231_724, 233, 87_008),
+        (60_327_237, 60_327_237, 239_126, 236_404, 233, 87_024),
+        (60_327_237, 60_327_237, 242_248, 236_598, 233, 86_944),
+        (60_327_237, 60_327_237, 241_370, 230_946, 233, 87_048),
+        (60_327_237, 60_327_237, 228_284, 230_420, 233, 86_904),
+        (60_327_237, 60_327_237, 224_514, 232_836, 233, 87_192),
+        (60_327_237, 60_327_237, 218_134, 233_446, 233, 87_032),
+    ];
+    let r = run(&data(8_000), 8);
+    let got: Vec<_> = r
+        .stats
+        .ranks
+        .iter()
+        .map(|s| {
+            assert_eq!(s.compute_ns, 0, "free-running machines measure nothing");
+            (
+                s.clock_ns,
+                s.comm_ns,
+                s.bytes_sent,
+                s.bytes_recv,
+                s.msgs_sent,
+                s.peak_mem,
+            )
+        })
+        .collect();
+    assert_eq!(got, WANT);
+}
