@@ -57,12 +57,12 @@ use datagen::{generate, ClassFunc, GenConfig, Profile};
 use dtree::model_io;
 use dtree::Dataset;
 use mpsim::obs::{self, Json};
-use mpsim::{CostModel, CrashPoint, FaultKind, FaultPlan, StorageFaultKind};
+use mpsim::{CrashPoint, FaultKind, FaultPlan, StorageFaultKind};
 use scalparc::{
     checkpoint, induce, induce_with_recovery, induce_with_recovery_policy, try_induce,
-    CheckpointCtx, ParConfig, ParResult, RecoveryPolicy, RecoveryResult,
+    CheckpointCtx, ParResult, RecoveryPolicy, RecoveryResult,
 };
-use scalparc_bench::{print_row, Scale, T3D_CPU_FACTOR};
+use scalparc_bench::{chaos_cfg, pct, print_row, tmp_dir, Scale};
 
 /// Collective-sequence horizon for random message-fault plans: far beyond
 /// any induction in this sweep, so the whole run is exposed to the rate.
@@ -154,27 +154,6 @@ fn parse_args() -> Opts {
         }
     }
     opts
-}
-
-fn chaos_cfg(p: usize) -> ParConfig {
-    ParConfig {
-        cost: CostModel::t3d_scaled(T3D_CPU_FACTOR),
-        ..ParConfig::new(p)
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("scalparc-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn pct(over: u64, base: u64) -> f64 {
-    if base == 0 {
-        0.0
-    } else {
-        (over as f64 - base as f64) / base as f64 * 100.0
-    }
 }
 
 /// A crash at the middle level of the baseline tree, on the last rank.

@@ -50,16 +50,16 @@
 use std::path::PathBuf;
 
 use datagen::{generate, ClassFunc, GenConfig, Profile};
+use diskio::ckpt;
 use dtree::flat_forest::{FlatForest, VoteReduce};
 use dtree::model_io;
 use mpsim::obs::{self, Json};
-use mpsim::{CostModel, CrashPoint, FaultPlan, MachineCfg};
+use mpsim::{CrashPoint, FaultPlan, MachineCfg, StorageFaultKind};
 use scalparc::forest::{
     self, train_forest, train_forest_with_recovery, ForestCheckpointCtx, ForestConfig,
     ForestFaultPlan, ForestRecoveryPolicy, ForestResult, TreeVerdict,
 };
-use scalparc::ParConfig;
-use scalparc_bench::{print_row, Scale, T3D_CPU_FACTOR};
+use scalparc_bench::{chaos_cfg, pct, print_row, tmp_dir, Scale};
 use serve::{score_forest_distributed, score_forest_distributed_partial};
 
 /// Training-set label noise for the quorum curve: bagging only has
@@ -129,30 +129,6 @@ fn parse_args() -> Opts {
         }
     }
     opts
-}
-
-fn chaos_cfg(p: usize) -> ParConfig {
-    ParConfig {
-        cost: CostModel::t3d_scaled(T3D_CPU_FACTOR),
-        ..ParConfig::new(p)
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "scalparc-chaos-forest-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn pct(over: u64, base: u64) -> f64 {
-    if base == 0 {
-        0.0
-    } else {
-        (over as f64 - base as f64) / base as f64 * 100.0
-    }
 }
 
 fn policy_name(policy: ForestRecoveryPolicy) -> &'static str {
@@ -490,7 +466,8 @@ fn main() {
     let path = io_root.join("forest.bin");
     forest::save_forest(&serve_forest.trees, &path).expect("saving forest");
     let victim = n_serve_trees / 2;
-    forest::damage_tree_section(&path, victim).expect("damaging tree section");
+    let section = Some(forest::TREE_SECTION_BASE + victim as u32);
+    ckpt::damage(&path, StorageFaultKind::BitFlip, section).expect("damaging tree section");
     let verdict = forest::load_forest(&path).expect("damaged container still walks");
     assert_eq!(verdict.planned, n_serve_trees);
     assert_eq!(verdict.n_ok(), n_serve_trees - 1);
@@ -651,7 +628,8 @@ fn smoke(opts: &Opts) {
     std::fs::create_dir_all(&root).expect("creating container dir");
     let path = root.join("forest.bin");
     forest::save_forest(&baseline.trees, &path).expect("saving forest");
-    forest::damage_tree_section(&path, 0).expect("damaging tree 0");
+    let section = Some(forest::TREE_SECTION_BASE);
+    ckpt::damage(&path, StorageFaultKind::BitFlip, section).expect("damaging tree 0");
     let verdict = forest::load_forest(&path).expect("damaged container still walks");
     assert!(matches!(verdict.trees[0], TreeVerdict::Corrupt(_)));
     assert!(verdict.trees[1].is_ok());

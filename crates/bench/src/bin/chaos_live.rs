@@ -33,14 +33,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datagen::{ClassFunc, DriftKind, GenConfig, Profile};
+use diskio::ckpt;
 use mpsim::obs::{Json, MetricsDoc};
+use mpsim::StorageFaultKind;
 use scalparc::stream::genstore;
 use scalparc::stream::{run_stream, BlockSource, StreamConfig, Trigger};
 use scalparc::ParConfig;
 use scalparc_bench::print_row;
 use stream::{
-    quest_sketch, run_live, DamageKind, DriftSource, Health, LiveConfig, LiveFault, LiveFaultPlan,
-    LiveReport, RestartPolicy, StorageDamage,
+    quest_sketch, run_live, DriftSource, Health, LiveConfig, LiveFault, LiveFaultPlan, LiveReport,
+    RestartPolicy,
 };
 
 struct Opts {
@@ -201,14 +203,12 @@ fn main() {
         life_a.supervisor.feeder_panics, life_a.supervisor.stalls, avail_a, life_a.health);
 
     // Kill + damage: truncate the newest committed generation mid-payload.
-    let newest = *genstore::list_generations(&dir)
+    let newest = *genstore::STORE
+        .list(&dir)
         .first()
         .expect("life A committed generations");
-    let damage = StorageDamage {
-        generation: newest,
-        kind: DamageKind::TruncateTail,
-    };
-    assert!(damage.apply(&dir), "damaging GEN_{newest}");
+    let newest_file = genstore::gen_file(&dir, newest);
+    ckpt::damage(&newest_file, StorageFaultKind::TornWrite, None).expect("damaging newest");
     println!("# kill: truncated GEN_{newest}.bin mid-payload (torn write at crash time)");
 
     // Life B: crash-resume over the full stream.

@@ -184,6 +184,33 @@ pub fn run_measured(data: &Dataset, p: usize, algorithm: Algorithm) -> ParResult
     induce_measured(data, &cfg, 2)
 }
 
+// ----- chaos harness helpers (shared by the chaos bins) ---------------------
+
+/// The free-running configuration the chaos bins fault: `p` ranks under
+/// the scaled T3D cost model, so clocks are deterministic and comparable.
+pub fn chaos_cfg(p: usize) -> ParConfig {
+    ParConfig {
+        cost: CostModel::t3d_scaled(T3D_CPU_FACTOR),
+        ..ParConfig::new(p)
+    }
+}
+
+/// A fresh (removed, not created) scratch path for one chaos scenario.
+pub fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("scalparc-chaos-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `over` relative to `base`, in percent (0 when `base` is 0).
+pub fn pct(over: u64, base: u64) -> f64 {
+    if base == 0 {
+        0.0
+    } else {
+        (over as f64 - base as f64) / base as f64 * 100.0
+    }
+}
+
 /// Sweep `p` over `procs` for one dataset, taking the best of `reps`
 /// repetitions per cell (wall-clock measurement of short compute segments
 /// is noisy; the minimum is the standard de-noised estimate).

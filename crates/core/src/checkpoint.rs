@@ -53,9 +53,9 @@
 use std::path::{Path, PathBuf};
 
 use diskio::ckpt::{self, ByteReader, ByteWriter, CkptError};
+use diskio::{Skip, Store, Verdict};
 use dtree::list::{AttrList, CatEntry, ContEntry};
 use dtree::tree::{Node, SplitTest};
-use mpsim::StorageFaultKind;
 
 use crate::induce::{LevelInfo, ParStats};
 use crate::phases::Work;
@@ -90,10 +90,10 @@ impl CheckpointCtx {
         }
     }
 
-    /// This context with keep-last-K retention (clamped to at least 1:
-    /// dropping the newest generation would defeat the checkpoint).
+    /// This context with keep-last-K retention (the GC keeps at least the
+    /// newest generation whatever `k` says).
     pub fn with_keep(mut self, k: usize) -> CheckpointCtx {
-        self.keep = Some(k.max(1));
+        self.keep = Some(k);
         self
     }
 }
@@ -110,61 +110,14 @@ pub struct Manifest {
     pub total_n: u64,
 }
 
-/// Outcome of reading one generation's manifest — distinguishing "nothing
-/// there" from "there, but damaged", which drive different recoveries
-/// (fresh start vs. fall back one generation).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ManifestRead {
-    /// Decoded and CRC-verified.
-    Ok(Manifest),
-    /// No such manifest file.
-    Absent,
-    /// The file exists but fails CRC, decode, or shape checks.
-    Corrupt(String),
-}
+/// The checkpoint store: `MANIFEST_<l>.bin` commits generation `l` and
+/// owns its rank files `level_<l>_rank_<r>.bin`, which keep-K GC and
+/// clear remove with it.
+pub const STORE: Store = Store::new(&["MANIFEST_{g}.bin", "level_{g}_rank_*.bin"]);
 
-/// What a restore scan found in a checkpoint directory — the typed verdict
-/// the recovery driver acts on (and surfaces in its report).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RestoreVerdict {
-    /// `manifest` names the newest generation whose manifest and *all*
-    /// rank files are intact; `skipped_corrupt` newer generations were
-    /// walked past to find it.
-    Usable {
-        manifest: Manifest,
-        skipped_corrupt: u32,
-    },
-    /// No manifest of any generation exists: nothing was ever committed
-    /// here (or it was cleared). Fresh start.
-    NoCheckpoint,
-    /// Manifests exist but every intact one belongs to a run with a
-    /// different record count. Fresh start, without disturbing the
-    /// foreign files.
-    ForeignRun { generations: u32 },
-    /// Every generation present is corrupt (manifest or rank files).
-    /// Fresh start — degraded, but never a panic.
-    AllCorrupt { generations: u32 },
-}
-
-impl RestoreVerdict {
-    /// The level to resume from, when the verdict allows one.
-    pub fn resume_level(&self) -> Option<u32> {
-        match self {
-            RestoreVerdict::Usable { manifest, .. } => Some(manifest.level),
-            _ => None,
-        }
-    }
-
-    /// Corrupt generations walked past (0 unless `Usable` skipped some).
-    pub fn generations_walked(&self) -> u32 {
-        match self {
-            RestoreVerdict::Usable {
-                skipped_corrupt, ..
-            } => *skipped_corrupt,
-            _ => 0,
-        }
-    }
-}
+/// What a restore scan found in a checkpoint directory (see
+/// [`scan_restore`]) — the typed verdict the recovery driver acts on.
+pub type RestoreVerdict = Verdict<Manifest>;
 
 /// One rank's snapshot of the state *entering* a level.
 #[derive(Clone, Debug, PartialEq)]
@@ -196,7 +149,7 @@ pub fn state_file(dir: &Path, level: u32, rank: usize) -> PathBuf {
 
 /// Path of generation `level`'s manifest.
 pub fn manifest_file(dir: &Path, level: u32) -> PathBuf {
-    dir.join(format!("MANIFEST_{level}.bin"))
+    STORE.file(dir, level.into())
 }
 
 // ----- encoding -------------------------------------------------------------
@@ -491,13 +444,7 @@ pub fn encode_state(
 
 /// Decode sections produced by [`encode_state`].
 pub fn decode_state(sections: &[(u32, Vec<u8>)]) -> Result<LevelState, String> {
-    let find = |tag: u32| -> Result<&[u8], String> {
-        sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, p)| p.as_slice())
-            .ok_or_else(|| format!("missing section tag {tag}"))
-    };
+    let find = |tag| ckpt::section(sections, tag);
     let mut meta = ByteReader::new(find(SEC_META)?);
     let level = meta.u32()?;
     let _rank = meta.u64()?;
@@ -524,95 +471,33 @@ pub fn save_state(
     table_slots: Option<&[Option<u8>]>,
 ) -> Result<u64, CkptError> {
     let sections = encode_state(level, rank, nodes, works, stats, table_slots);
-    let bytes: u64 = sections.iter().map(|(_, p)| p.len() as u64).sum();
     let refs: Vec<(u32, &[u8])> = sections.iter().map(|(t, p)| (*t, p.as_slice())).collect();
-    ckpt::write_sections(&state_file(dir, level, rank), &refs)?;
-    Ok(bytes)
+    ckpt::write_sections(&state_file(dir, level, rank), &refs)
 }
 
 /// Load one rank's snapshot of `level`. Returns the state and the payload
 /// size read (for the simulated I/O charge).
 pub fn load_state(dir: &Path, level: u32, rank: usize) -> Result<(LevelState, u64), CkptError> {
-    let path = state_file(dir, level, rank);
-    let sections = ckpt::read_sections(&path)?;
-    let bytes: u64 = sections.iter().map(|(_, p)| p.len() as u64).sum();
-    let state = decode_state(&sections).map_err(|msg| CkptError {
-        path: path.clone(),
-        msg,
-    })?;
-    if state.level != level {
-        return Err(CkptError {
-            path,
-            msg: format!("file claims level {}, expected {level}", state.level),
-        });
-    }
-    Ok((state, bytes))
+    ckpt::read_with(&state_file(dir, level, rank), |sections| {
+        let state = decode_state(sections)?;
+        if state.level != level {
+            return Err(format!(
+                "file claims level {}, expected {level}",
+                state.level
+            ));
+        }
+        Ok(state)
+    })
 }
 
 /// Atomically commit generation `m.level`: write its `MANIFEST_<l>.bin`.
-pub fn write_manifest(dir: &Path, m: Manifest) -> Result<(), CkptError> {
+/// Returns the payload size.
+pub fn write_manifest(dir: &Path, m: Manifest) -> Result<u64, CkptError> {
     let mut w = ByteWriter::new();
     w.u32(m.level);
     w.u32(m.procs);
     w.u64(m.total_n);
     ckpt::write_sections(&manifest_file(dir, m.level), &[(SEC_META, &w.into_bytes())])
-}
-
-/// Read generation `level`'s manifest, with a typed verdict: absent,
-/// corrupt, and intact are three different situations to a recovery driver
-/// (fresh start / walk back a generation / resume).
-pub fn read_manifest(dir: &Path, level: u32) -> ManifestRead {
-    let path = manifest_file(dir, level);
-    if !path.exists() {
-        return ManifestRead::Absent;
-    }
-    let sections = match ckpt::read_sections(&path) {
-        Ok(s) => s,
-        Err(e) => return ManifestRead::Corrupt(e.msg),
-    };
-    let Some((tag, payload)) = sections.first() else {
-        return ManifestRead::Corrupt("no sections".into());
-    };
-    if *tag != SEC_META {
-        return ManifestRead::Corrupt(format!("unexpected section tag {tag}"));
-    }
-    let mut r = ByteReader::new(payload);
-    let decode = |r: &mut ByteReader| -> Result<Manifest, String> {
-        Ok(Manifest {
-            level: r.u32()?,
-            procs: r.u32()?,
-            total_n: r.u64()?,
-        })
-    };
-    match decode(&mut r) {
-        Err(msg) => ManifestRead::Corrupt(msg),
-        Ok(_) if !r.is_done() => ManifestRead::Corrupt("trailing bytes".into()),
-        Ok(m) if m.level != level => {
-            ManifestRead::Corrupt(format!("claims level {}, expected {level}", m.level))
-        }
-        Ok(m) => ManifestRead::Ok(m),
-    }
-}
-
-/// Generation levels present in `dir` (by manifest file name, decoded or
-/// not), newest first.
-pub fn list_generations(dir: &Path) -> Vec<u32> {
-    let mut levels: Vec<u32> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                name.strip_prefix("MANIFEST_")?
-                    .strip_suffix(".bin")?
-                    .parse()
-                    .ok()
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    levels.sort_unstable_by(|a, b| b.cmp(a));
-    levels.dedup();
-    levels
 }
 
 /// Walk generations newest→oldest and report the newest one that is
@@ -622,79 +507,31 @@ pub fn list_generations(dir: &Path) -> Vec<u32> {
 /// charges the actual state reads separately); called by rank 0 before the
 /// resume broadcast, and by the recovery driver for its report.
 pub fn scan_restore(dir: &Path, want_n: u64) -> RestoreVerdict {
-    let generations = list_generations(dir);
-    if generations.is_empty() {
-        return RestoreVerdict::NoCheckpoint;
-    }
-    let total = generations.len() as u32;
-    let mut skipped_corrupt = 0u32;
-    let mut foreign = 0u32;
-    for level in generations {
-        let m = match read_manifest(dir, level) {
-            ManifestRead::Ok(m) => m,
-            ManifestRead::Absent | ManifestRead::Corrupt(_) => {
-                skipped_corrupt += 1;
-                continue;
-            }
-        };
-        if m.total_n != want_n {
-            foreign += 1;
-            continue;
-        }
-        let all_ranks_intact = (0..m.procs as usize).all(|r| load_state(dir, level, r).is_ok());
-        if all_ranks_intact {
-            return RestoreVerdict::Usable {
-                manifest: m,
-                skipped_corrupt,
+    STORE.scan(dir, |g| {
+        let level = u32::try_from(g).map_err(|_| Skip::Corrupt)?;
+        let (m, _) = ckpt::read_with(&manifest_file(dir, level), |sections| {
+            let Some((SEC_META, payload)) = sections.first() else {
+                return Err("no META section".into());
             };
-        }
-        skipped_corrupt += 1;
-    }
-    if foreign > 0 && skipped_corrupt == 0 {
-        RestoreVerdict::ForeignRun { generations: total }
-    } else {
-        RestoreVerdict::AllCorrupt { generations: total }
-    }
-}
-
-/// Remove every generation's manifest so the next induction in `dir`
-/// starts fresh. Stale level files are harmless (they are only read when a
-/// manifest names them) and get overwritten in place.
-pub fn clear_manifests(dir: &Path) {
-    for level in list_generations(dir) {
-        let _ = std::fs::remove_file(manifest_file(dir, level));
-    }
-}
-
-/// Keep-last-K garbage collection after committing generation `newest`:
-/// remove manifests and rank files of every generation older than
-/// `newest + 1 - keep`. Host-side filesystem work, uncharged — retention
-/// policy never changes simulated costs.
-pub fn gc_generations(dir: &Path, newest: u32, keep: usize) {
-    let floor = (u64::from(newest) + 1).saturating_sub(keep as u64);
-    for level in list_generations(dir) {
-        if u64::from(level) >= floor {
-            continue;
-        }
-        let _ = std::fs::remove_file(manifest_file(dir, level));
-        remove_rank_files(dir, level);
-    }
-}
-
-/// Remove all `level_<level>_rank_*.bin` files of one generation,
-/// whatever rank count wrote them.
-fn remove_rank_files(dir: &Path, level: u32) {
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let prefix = format!("level_{level}_rank_");
-    for e in rd.flatten() {
-        if let Ok(name) = e.file_name().into_string() {
-            if name.starts_with(&prefix) && name.ends_with(".bin") {
-                let _ = std::fs::remove_file(e.path());
+            let mut r = ByteReader::new(payload);
+            let m = Manifest {
+                level: r.u32()?,
+                procs: r.u32()?,
+                total_n: r.u64()?,
+            };
+            if !r.is_done() || m.level != level {
+                return Err(format!("malformed manifest for level {level}: {m:?}"));
             }
+            Ok(m)
+        })?;
+        if m.total_n != want_n {
+            return Err(Skip::Foreign);
         }
-    }
+        for rank in 0..m.procs as usize {
+            load_state(dir, m.level, rank)?;
+        }
+        Ok(m)
+    })
 }
 
 // ----- rescale on restore ---------------------------------------------------
@@ -820,31 +657,15 @@ pub fn load_rescaled(
 /// files) — what one full read of the snapshot costs, and the unit of
 /// redistribution-byte accounting.
 pub fn generation_payload_bytes(dir: &Path, level: u32, procs: usize) -> Result<u64, CkptError> {
-    let mut bytes = 0u64;
-    for r in 0..procs {
-        let sections = ckpt::read_sections(&state_file(dir, level, r))?;
-        bytes += sections.iter().map(|(_, p)| p.len() as u64).sum::<u64>();
-    }
-    Ok(bytes)
-}
-
-/// Damage one rank's committed state file the way `kind` describes —
-/// called by the induction driver when an installed
-/// [`FaultPlan`](mpsim::FaultPlan) schedules a storage fault on this
-/// checkpoint commit. Host filesystem work; silent (the commit already
-/// succeeded), so nothing is charged at injection time.
-pub fn apply_storage_fault(dir: &Path, level: u32, rank: usize, kind: StorageFaultKind) {
-    let path = state_file(dir, level, rank);
-    let _ = match kind {
-        StorageFaultKind::TornWrite => ckpt::damage_truncate_tail(&path),
-        StorageFaultKind::BitFlip => ckpt::damage_flip_bit(&path),
-        StorageFaultKind::MissingFile => ckpt::damage_remove(&path),
-    };
+    (0..procs)
+        .map(|r| Ok(ckpt::read_with(&state_file(dir, level, r), |_| Ok(()))?.1))
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpsim::StorageFaultKind;
 
     fn sample_state() -> LevelState {
         let mut root = Node::leaf(0, vec![3, 5]);
@@ -960,35 +781,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn manifest_verdicts_distinguish_absent_corrupt_intact() {
-        let dir = std::env::temp_dir().join(format!("scalparc-manifest-{}", std::process::id()));
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("scalparc-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn manifest_verdicts_distinguish_absent_corrupt_intact() {
+        let dir = tmp_dir("manifest");
         assert_eq!(
-            read_manifest(&dir, 4),
-            ManifestRead::Absent,
+            scan_restore(&dir, 99),
+            RestoreVerdict::Empty,
             "no manifest yet"
         );
+        commit_generation(&dir, 4, 2, 99);
         let m = Manifest {
             level: 4,
-            procs: 8,
-            total_n: 4000,
+            procs: 2,
+            total_n: 99,
         };
-        write_manifest(&dir, m).unwrap();
-        assert_eq!(read_manifest(&dir, 4), ManifestRead::Ok(m));
-        assert_eq!(
-            read_manifest(&dir, 3),
-            ManifestRead::Absent,
-            "other generation"
-        );
-        // Garbage is Corrupt — not Absent, and not a crash.
+        let usable = RestoreVerdict::Usable {
+            value: m,
+            skipped_corrupt: 0,
+        };
+        assert_eq!(scan_restore(&dir, 99), usable);
+        // Garbage, and a manifest filed under the wrong level, are corrupt —
+        // not absent, and not a crash.
         std::fs::write(manifest_file(&dir, 4), b"not a checkpoint").unwrap();
-        assert!(matches!(read_manifest(&dir, 4), ManifestRead::Corrupt(_)));
-        write_manifest(&dir, m).unwrap();
-        clear_manifests(&dir);
-        assert_eq!(read_manifest(&dir, 4), ManifestRead::Absent);
-        assert!(list_generations(&dir).is_empty());
+        let corrupt = RestoreVerdict::AllCorrupt { generations: 1 };
+        assert_eq!(scan_restore(&dir, 99), corrupt);
+        write_manifest(&dir, Manifest { level: 5, ..m }).unwrap();
+        std::fs::rename(manifest_file(&dir, 5), manifest_file(&dir, 4)).unwrap();
+        assert_eq!(scan_restore(&dir, 99), corrupt);
+        STORE.clear(&dir);
+        assert_eq!(scan_restore(&dir, 99), RestoreVerdict::Empty);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "rank files go too"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1021,78 +854,53 @@ mod tests {
 
     #[test]
     fn scan_walks_past_corrupt_generations_to_newest_intact() {
-        let dir = std::env::temp_dir().join(format!("scalparc-scan-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(scan_restore(&dir, 99), RestoreVerdict::NoCheckpoint);
-        commit_generation(&dir, 0, 2, 99);
-        commit_generation(&dir, 1, 2, 99);
-        commit_generation(&dir, 2, 2, 99);
-        let newest = Manifest {
-            level: 2,
-            procs: 2,
-            total_n: 99,
+        let dir = tmp_dir("scan");
+        for level in 0..4 {
+            commit_generation(&dir, level, 2, 99);
+        }
+        let usable = |level, skipped_corrupt| RestoreVerdict::Usable {
+            value: Manifest {
+                level,
+                procs: 2,
+                total_n: 99,
+            },
+            skipped_corrupt,
         };
-        assert_eq!(
-            scan_restore(&dir, 99),
-            RestoreVerdict::Usable {
-                manifest: newest,
-                skipped_corrupt: 0
-            }
-        );
-        // Bit-flip a rank file of generation 2: the scan lands on 1.
-        apply_storage_fault(&dir, 2, 1, StorageFaultKind::BitFlip);
-        assert_eq!(
-            scan_restore(&dir, 99),
-            RestoreVerdict::Usable {
-                manifest: Manifest { level: 1, ..newest },
-                skipped_corrupt: 1
-            }
-        );
-        // Tear generation 1's manifest too: the scan lands on 0.
-        ckpt::damage_truncate_tail(&manifest_file(&dir, 1)).unwrap();
-        assert_eq!(
-            scan_restore(&dir, 99),
-            RestoreVerdict::Usable {
-                manifest: Manifest { level: 0, ..newest },
-                skipped_corrupt: 2
-            }
-        );
-        // Remove generation 0's rank file: nothing intact remains.
-        apply_storage_fault(&dir, 0, 0, StorageFaultKind::MissingFile);
-        assert_eq!(
-            scan_restore(&dir, 99),
-            RestoreVerdict::AllCorrupt { generations: 3 }
-        );
+        assert_eq!(scan_restore(&dir, 99), usable(3, 0));
+        // A flipped top bit in the manifest's section count costs one
+        // generation, never the process.
+        let path = manifest_file(&dir, 3);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[11] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(scan_restore(&dir, 99), usable(2, 1));
+        // One damaged rank file loses the whole generation.
+        ckpt::damage(&state_file(&dir, 2, 1), StorageFaultKind::BitFlip, None).unwrap();
+        assert_eq!(scan_restore(&dir, 99), usable(1, 2));
+        ckpt::damage(&state_file(&dir, 1, 0), StorageFaultKind::MissingFile, None).unwrap();
+        assert_eq!(scan_restore(&dir, 99), usable(0, 3));
         // A different record count is Foreign, not corrupt.
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        commit_generation(&dir, 0, 2, 50);
+        let other = tmp_dir("scan-foreign");
+        commit_generation(&other, 0, 2, 50);
         assert_eq!(
-            scan_restore(&dir, 99),
-            RestoreVerdict::ForeignRun { generations: 1 }
+            scan_restore(&other, 99),
+            RestoreVerdict::Foreign { generations: 1 }
         );
+        std::fs::remove_dir_all(&other).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn gc_keeps_last_k_generations() {
-        let dir = std::env::temp_dir().join(format!("scalparc-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("gc");
         for level in 0..5 {
             commit_generation(&dir, level, 2, 99);
-            gc_generations(&dir, level, 2);
+            STORE.gc(&dir, level.into(), 2);
         }
-        assert_eq!(list_generations(&dir), vec![4, 3]);
+        assert_eq!(STORE.list(&dir), vec![4, 3]);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 2 * (2 + 1), "2 generations × (manifest + 2 ranks)");
         assert!(!state_file(&dir, 0, 0).exists());
-        // keep=1 collapses to the newest only; GC below level 0 is a no-op.
-        gc_generations(&dir, 4, 1);
-        assert_eq!(list_generations(&dir), vec![4]);
-        gc_generations(&dir, 0, 3);
-        assert_eq!(list_generations(&dir), vec![4], "floor underflow is safe");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use diskio::ckpt::SectionRead;
+use diskio::ckpt::{self, SectionRead};
 use dtree::data::{Dataset, Schema};
 use dtree::testgen::TestRng;
 use dtree::tree::{DecisionTree, SplitTest};
@@ -506,7 +506,9 @@ pub fn save_forest(trees: &[DecisionTree], path: &Path) -> Result<(), String> {
     for (t, text) in texts.iter().enumerate() {
         sections.push((TREE_SECTION_BASE + t as u32, text.as_bytes()));
     }
-    diskio::ckpt::write_sections(path, &sections).map_err(|e| e.to_string())
+    ckpt::write_sections(path, &sections)
+        .map(|_| ())
+        .map_err(|e| e.to_string())
 }
 
 /// Parse one tree slot's intact payload, checking UTF-8, the tree grammar,
@@ -536,14 +538,15 @@ fn parse_tree_payload(payload: &[u8], schema: &mut Option<Schema>) -> TreeVerdic
 /// destroyed meta section) fails the load as a whole. Legacy v1
 /// single-section containers load as all-`Ok`-or-error, unchanged.
 pub fn load_forest(path: &Path) -> Result<ForestVerdict, String> {
-    let sections = diskio::ckpt::read_sections_tolerant(path).map_err(|e| e.to_string())?;
+    let sections = ckpt::read_sections_tolerant(path).map_err(|e| e.to_string())?;
 
+    let intact = |want| {
+        let mut ok = sections.iter().filter_map(SectionRead::intact);
+        ok.find(|(tag, _)| *tag == want).map(|(_, payload)| payload)
+    };
     // Legacy v1: one FRST section holding the whole forest text. Intact →
     // parse it; damaged → the whole forest is lost (that was v1's deal).
-    if let Some(payload) = sections.iter().find_map(|s| match s {
-        SectionRead::Ok { tag, payload } if *tag == FOREST_SECTION => Some(payload),
-        _ => None,
-    }) {
+    if let Some(payload) = intact(FOREST_SECTION) {
         let text = std::str::from_utf8(payload)
             .map_err(|e| format!("{}: forest payload is not UTF-8: {e}", path.display()))?;
         let trees = model_io::forest_from_text(text)?;
@@ -553,11 +556,7 @@ pub fn load_forest(path: &Path) -> Result<ForestVerdict, String> {
         });
     }
 
-    let meta = sections.iter().find_map(|s| match s {
-        SectionRead::Ok { tag, payload } if *tag == FOREST_META_SECTION => Some(payload),
-        _ => None,
-    });
-    let Some(meta) = meta else {
+    let Some(meta) = intact(FOREST_META_SECTION) else {
         return Err(format!(
             "{}: forest meta section missing or corrupt",
             path.display()
@@ -571,29 +570,22 @@ pub fn load_forest(path: &Path) -> Result<ForestVerdict, String> {
     let mut trees = vec![TreeVerdict::Missing; planned];
     let mut schema: Option<Schema> = None;
     for s in &sections {
-        match s {
-            SectionRead::Ok { tag, payload } => {
-                let Some(t) = tag.checked_sub(TREE_SECTION_BASE).map(|t| t as usize) else {
-                    continue;
-                };
-                if t < planned {
-                    trees[t] = parse_tree_payload(payload, &mut schema);
-                }
-            }
+        let (tag, read) = match s {
+            SectionRead::Ok { tag, payload } => (*tag, Ok(payload)),
             SectionRead::Corrupt {
                 tag: Some(tag),
                 msg,
-            } => {
-                let Some(t) = tag.checked_sub(TREE_SECTION_BASE).map(|t| t as usize) else {
-                    continue;
-                };
-                if t < planned {
-                    trees[t] = TreeVerdict::Corrupt(msg.clone());
-                }
-            }
+            } => (*tag, Err(msg)),
             // Sections whose very tag was lost (truncation) cannot be
             // attributed to a slot; those slots stay `Missing`.
-            SectionRead::Corrupt { tag: None, .. } => {}
+            SectionRead::Corrupt { tag: None, .. } => continue,
+        };
+        let slot = tag.checked_sub(TREE_SECTION_BASE).map(|t| t as usize);
+        if let Some(t) = slot.filter(|&t| t < planned) {
+            trees[t] = match read {
+                Ok(payload) => parse_tree_payload(payload, &mut schema),
+                Err(msg) => TreeVerdict::Corrupt(msg.clone()),
+            };
         }
     }
     Ok(ForestVerdict { planned, trees })
@@ -602,74 +594,6 @@ pub fn load_forest(path: &Path) -> Result<ForestVerdict, String> {
 /// All-or-nothing load: the pre-verdict `load_forest` behaviour.
 pub fn load_forest_strict(path: &Path) -> Result<Vec<DecisionTree>, String> {
     load_forest(path)?.into_strict()
-}
-
-/// Walk a container's raw section frames, calling `f(tag, start, len)` for
-/// each (with `start` the file offset of the frame's tag field), until `f`
-/// returns `true` or the walk runs off the file.
-fn walk_sections(bytes: &[u8], mut f: impl FnMut(u32, usize, usize) -> bool) {
-    let mut off = 12usize; // [magic][version][count]
-    while off + 12 <= bytes.len() {
-        let tag = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
-        if f(tag, off, len) {
-            return;
-        }
-        off += 12 + len + 4;
-    }
-}
-
-/// Deterministic damage: flip one bit in the middle of tree `t`'s section
-/// payload, so the container loads with exactly that slot `Corrupt`.
-pub fn damage_tree_section(path: &Path, t: usize) -> Result<(), String> {
-    let mut bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    let want = TREE_SECTION_BASE + t as u32;
-    let mut hit = None;
-    walk_sections(&bytes, |tag, start, len| {
-        if tag == want && len > 0 {
-            hit = Some(start + 12 + len / 2);
-            true
-        } else {
-            false
-        }
-    });
-    let at = hit.ok_or_else(|| format!("{}: no section for tree {t}", path.display()))?;
-    bytes[at] ^= 0x10;
-    std::fs::write(path, &bytes).map_err(|e| e.to_string())
-}
-
-/// Deterministic damage: cut the file mid-payload of tree `t`'s section —
-/// that slot loads `Corrupt` and every later section is lost (`Missing`).
-pub fn truncate_at_tree_section(path: &Path, t: usize) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    let want = TREE_SECTION_BASE + t as u32;
-    let mut hit = None;
-    walk_sections(&bytes, |tag, start, len| {
-        if tag == want {
-            hit = Some(start + 12 + len / 2);
-            true
-        } else {
-            false
-        }
-    });
-    let at = hit.ok_or_else(|| format!("{}: no section for tree {t}", path.display()))?;
-    std::fs::write(path, &bytes[..at]).map_err(|e| e.to_string())
-}
-
-/// Deterministic damage: drop tree `t`'s section entirely (rewriting the
-/// container without it), so the slot loads `Missing`.
-pub fn remove_tree_section(path: &Path, t: usize) -> Result<(), String> {
-    let sections = diskio::ckpt::read_sections(path).map_err(|e| e.to_string())?;
-    let want = TREE_SECTION_BASE + t as u32;
-    if !sections.iter().any(|(tag, _)| *tag == want) {
-        return Err(format!("{}: no section for tree {t}", path.display()));
-    }
-    let kept: Vec<(u32, &[u8])> = sections
-        .iter()
-        .filter(|(tag, _)| *tag != want)
-        .map(|(tag, payload)| (*tag, payload.as_slice()))
-        .collect();
-    diskio::ckpt::write_sections(path, &kept).map_err(|e| e.to_string())
 }
 
 /// Per-group fault plans for a forest run. Every group of the resolved
@@ -750,10 +674,9 @@ impl ForestCheckpointCtx {
 
     /// Tree `t`'s checkpoint context (retention forwarded).
     pub fn tree_ctx(&self, t: usize) -> CheckpointCtx {
-        let ctx = CheckpointCtx::new(self.tree_dir(t));
-        match self.keep {
-            Some(k) => ctx.with_keep(k),
-            None => ctx,
+        CheckpointCtx {
+            dir: self.tree_dir(t),
+            keep: self.keep,
         }
     }
 }
@@ -907,7 +830,7 @@ pub fn train_forest_with_recovery(
     let induce_cfg = par.induce;
     if let Some(fc) = ckpt {
         for t in 0..fcfg.n_trees {
-            checkpoint::clear_manifests(&fc.tree_dir(t));
+            checkpoint::STORE.clear(&fc.tree_dir(t));
         }
     }
 
@@ -980,11 +903,11 @@ pub fn train_forest_with_recovery(
                     report.wasted_time_ns += crash.stats.time_ns();
                     let restore = match &tree_ckpt {
                         Some(ctx) => checkpoint::scan_restore(&ctx.dir, m as u64),
-                        None => RestoreVerdict::NoCheckpoint,
+                        None => RestoreVerdict::Empty,
                     };
-                    let resumed_from = restore.resume_level();
-                    rec.generations_walked += restore.generations_walked();
-                    report.generations_walked += restore.generations_walked();
+                    let resumed_from = restore.usable().map(|m| m.level);
+                    rec.generations_walked += restore.skipped_corrupt();
+                    report.generations_walked += restore.skipped_corrupt();
                     if sig.level != u32::MAX {
                         let re = sig.level.saturating_sub(resumed_from.unwrap_or(0)) + 1;
                         rec.reexecuted_levels += re;
@@ -1066,6 +989,7 @@ pub fn train_forest_with_recovery(
 mod tests {
     use super::*;
     use datagen::{generate, ClassFunc, GenConfig, Profile};
+    use mpsim::StorageFaultKind;
 
     fn quest(n: usize, seed: u64) -> Dataset {
         generate(&GenConfig {
@@ -1268,7 +1192,8 @@ mod tests {
         assert!(v.is_complete() && v.planned == 3);
 
         // A flipped bit in tree 1's section corrupts exactly that slot.
-        damage_tree_section(&path, 1).unwrap();
+        let tree_1 = Some(TREE_SECTION_BASE + 1);
+        ckpt::damage(&path, StorageFaultKind::BitFlip, tree_1).unwrap();
         let v = load_forest(&path).unwrap();
         assert_eq!(v.planned, 3);
         assert!(v.trees[0].is_ok() && v.trees[2].is_ok());
@@ -1279,21 +1204,33 @@ mod tests {
 
         // Dropping a section entirely reads back as Missing.
         save_forest(&trees, &path).unwrap();
-        remove_tree_section(&path, 0).unwrap();
+        ckpt::damage(
+            &path,
+            StorageFaultKind::MissingFile,
+            Some(TREE_SECTION_BASE),
+        )
+        .unwrap();
         let v = load_forest(&path).unwrap();
         assert_eq!(v.trees[0], TreeVerdict::Missing);
         assert_eq!(v.n_ok(), 2);
 
         // Truncation mid-section: that tree Corrupt, later trees lost.
         save_forest(&trees, &path).unwrap();
-        truncate_at_tree_section(&path, 1).unwrap();
+        ckpt::damage(&path, StorageFaultKind::TornWrite, tree_1).unwrap();
         let v = load_forest(&path).unwrap();
         assert!(v.trees[0].is_ok());
         assert!(matches!(v.trees[1], TreeVerdict::Corrupt(_)));
         assert_eq!(v.trees[2], TreeVerdict::Missing);
 
-        // Envelope damage (bad magic) still fails the load as a whole.
+        // Envelope damage (bad magic, or a flipped top bit in the section
+        // count) still fails the load as a whole — a typed error, never an
+        // abort.
+        save_forest(&trees, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
+        bytes[11] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load_forest(&path).is_err());
+        bytes[11] ^= 0x80;
         bytes[0] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_forest(&path).is_err());
@@ -1311,10 +1248,10 @@ mod tests {
         let dir = io_dir("forest-io-v1");
         let path = dir.join("model.scpf");
         let text = model_io::forest_to_text(&trees);
-        diskio::ckpt::write_sections(&path, &[(FOREST_SECTION, text.as_bytes())]).unwrap();
+        ckpt::write_sections(&path, &[(FOREST_SECTION, text.as_bytes())]).unwrap();
         assert_eq!(load_forest_strict(&path).unwrap(), trees);
         // v1 is all-or-nothing: any damage loses the whole forest.
-        diskio::ckpt::damage_flip_bit(&path).unwrap();
+        ckpt::damage(&path, StorageFaultKind::BitFlip, None).unwrap();
         assert!(load_forest(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

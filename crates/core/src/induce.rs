@@ -90,16 +90,10 @@ pub fn induce_on_comm_ckpt(
     // different record count marks a foreign run and is ignored.
     let resume: Option<(u32, u32)> = match ckpt {
         Some(ctx) => {
-            let mine = if comm.rank() == 0 {
-                Some(match checkpoint::scan_restore(&ctx.dir, total_n) {
-                    checkpoint::RestoreVerdict::Usable { manifest, .. } => {
-                        Some((manifest.level, manifest.procs))
-                    }
-                    _ => None,
-                })
-            } else {
-                None
-            };
+            let mine = (comm.rank() == 0).then(|| {
+                let restore = checkpoint::scan_restore(&ctx.dir, total_n);
+                restore.usable().map(|m| (m.level, m.procs))
+            });
             comm.bcast(0, mine)
         }
         None => None,
@@ -218,7 +212,8 @@ pub fn induce_on_comm_ckpt(
                 .and_then(|p| p.storage_fault_at(comm.rank(), ckpt_seq))
                 .copied();
             if let Some(f) = hit {
-                checkpoint::apply_storage_fault(&ctx.dir, lvl, comm.rank(), f.kind);
+                let file = checkpoint::state_file(&ctx.dir, lvl, comm.rank());
+                let _ = diskio::ckpt::damage(&file, f.kind, None);
                 comm.record_fault(f.kind.label(), 0);
             }
             comm.barrier();
@@ -237,7 +232,7 @@ pub fn induce_on_comm_ckpt(
                     // Host-side retention, outside the simulated machine:
                     // uncharged, so keep-K and keep-everything runs are
                     // cost-identical.
-                    checkpoint::gc_generations(&ctx.dir, lvl, keep);
+                    checkpoint::STORE.gc(&ctx.dir, lvl.into(), keep);
                 }
             }
             comm.phase_end(); // checkpoint

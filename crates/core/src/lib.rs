@@ -354,7 +354,7 @@ pub fn induce_with_recovery_policy(
     ckpt: &CheckpointCtx,
     policy: RecoveryPolicy,
 ) -> RecoveryResult {
-    checkpoint::clear_manifests(&ckpt.dir);
+    checkpoint::STORE.clear(&ckpt.dir);
     let total_n = data.len() as u64;
     let mut plan = fault;
     let mut report = RecoveryReport::default();
@@ -373,8 +373,8 @@ pub fn induce_with_recovery_policy(
                 // The same scan the retry's rank 0 will perform: what is
                 // on disk now decides where the next attempt resumes.
                 let restore = checkpoint::scan_restore(&ckpt.dir, total_n);
-                let resumed_from = restore.resume_level();
-                report.generations_walked += restore.generations_walked();
+                let resumed_from = restore.usable().map(|m| m.level);
+                report.generations_walked += restore.skipped_corrupt();
                 if sig.level != u32::MAX {
                     // Levels `resumed_from..=crash level` run again; a
                     // setup/presort crash re-executes no *levels*.
@@ -399,9 +399,9 @@ pub fn induce_with_recovery_policy(
                             // A same-geometry restore reads the generation
                             // once in total; a rescaled one reads it once
                             // *per surviving rank*.
-                            RestoreVerdict::Usable { manifest, .. }
-                                if manifest.procs as usize != to =>
-                            {
+                            RestoreVerdict::Usable {
+                                value: manifest, ..
+                            } if manifest.procs as usize != to => {
                                 checkpoint::generation_payload_bytes(
                                     &ckpt.dir,
                                     manifest.level,
@@ -709,15 +709,11 @@ mod tests {
         assert_eq!(got.trace, want.trace);
         // The run left one generation per level, the newest intact.
         assert_eq!(
-            checkpoint::list_generations(&dir),
-            (0..want.levels).rev().collect::<Vec<_>>()
+            checkpoint::STORE.list(&dir),
+            (0..want.levels.into()).rev().collect::<Vec<u64>>()
         );
-        match checkpoint::scan_restore(&dir, data.len() as u64) {
-            RestoreVerdict::Usable { manifest, .. } => {
-                assert_eq!(manifest.level, want.levels - 1)
-            }
-            v => panic!("expected a usable checkpoint, got {v:?}"),
-        }
+        let restore = checkpoint::scan_restore(&dir, data.len() as u64);
+        assert_eq!(restore.usable().map(|m| m.level), Some(want.levels - 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,14 +14,15 @@
 //! The write is atomic (temp file + rename inside `ckpt::write_sections`),
 //! so a generation either exists completely or not at all — there is no
 //! manifest to order commits because a single file *is* the commit.
-//! [`latest`] walks generations newest→oldest and returns the first intact
+//! [`scan`] walks generations newest→oldest and returns the first intact
 //! one, tolerating bit rot or torn writes in newer files the same way the
-//! checkpoint restore scan does (one generation lost, not the store).
-//! Keep-last-K retention ([`gc`]) mirrors the checkpoint GC.
+//! checkpoint restore scan does (one generation lost, not the store);
+//! keep-last-K retention is the same store's GC ([`STORE`]).
 
 use std::path::{Path, PathBuf};
 
 use diskio::ckpt::{self, ByteReader, ByteWriter, CkptError};
+use diskio::{Store, Verdict};
 use dtree::model_io;
 use dtree::tree::DecisionTree;
 
@@ -39,192 +40,61 @@ pub struct GenMeta {
     pub window_hi: u64,
 }
 
+/// The generation store: one self-contained `GEN_<g>.bin` per generation.
+pub const STORE: Store = Store::new(&["GEN_{g}.bin"]);
+
 /// Path of generation `g`'s file.
 pub fn gen_file(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("GEN_{generation}.bin"))
+    STORE.file(dir, generation)
 }
 
 /// Atomically commit one generation. Returns the encoded payload size
 /// (the basis of the simulated I/O charge).
 pub fn commit(dir: &Path, meta: GenMeta, tree: &DecisionTree) -> Result<u64, CkptError> {
-    std::fs::create_dir_all(dir).map_err(|e| CkptError {
-        path: dir.to_path_buf(),
-        msg: format!("create store dir: {e}"),
-    })?;
     let mut w = ByteWriter::new();
     w.u64(meta.generation);
     w.u64(meta.window_lo);
     w.u64(meta.window_hi);
     let meta_bytes = w.into_bytes();
     let model_bytes = model_io::to_text(tree).into_bytes();
-    let total = (meta_bytes.len() + model_bytes.len()) as u64;
     ckpt::write_sections(
         &gen_file(dir, meta.generation),
         &[(SEC_META, &meta_bytes), (SEC_MODEL, &model_bytes)],
-    )?;
-    Ok(total)
+    )
 }
 
 /// Load one generation. Returns its metadata, the decoded tree, and the
 /// payload size read.
 pub fn load(dir: &Path, generation: u64) -> Result<(GenMeta, DecisionTree, u64), CkptError> {
-    let path = gen_file(dir, generation);
-    let sections = ckpt::read_sections(&path)?;
-    let bytes: u64 = sections.iter().map(|(_, p)| p.len() as u64).sum();
-    let find = |tag: u32| -> Result<&[u8], CkptError> {
-        sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, p)| p.as_slice())
-            .ok_or_else(|| CkptError {
-                path: path.clone(),
-                msg: format!("missing section tag {tag}"),
-            })
-    };
-    let mut r = ByteReader::new(find(SEC_META)?);
-    let decode = |r: &mut ByteReader| -> Result<GenMeta, String> {
-        Ok(GenMeta {
+    let ((meta, tree), bytes) = ckpt::read_with(&gen_file(dir, generation), |sections| {
+        let mut r = ByteReader::new(ckpt::section(sections, SEC_META)?);
+        let meta = GenMeta {
             generation: r.u64()?,
             window_lo: r.u64()?,
             window_hi: r.u64()?,
-        })
-    };
-    let meta = decode(&mut r).map_err(|msg| CkptError {
-        path: path.clone(),
-        msg,
-    })?;
-    if meta.generation != generation {
-        return Err(CkptError {
-            path,
-            msg: format!(
+        };
+        if meta.generation != generation {
+            return Err(format!(
                 "file claims generation {}, expected {generation}",
                 meta.generation
-            ),
-        });
-    }
-    let text = std::str::from_utf8(find(SEC_MODEL)?).map_err(|e| CkptError {
-        path: path.clone(),
-        msg: format!("model section is not UTF-8: {e}"),
+            ));
+        }
+        let text = std::str::from_utf8(ckpt::section(sections, SEC_MODEL)?)
+            .map_err(|e| format!("model section is not UTF-8: {e}"))?;
+        Ok((meta, model_io::from_text(text)?))
     })?;
-    let tree = model_io::from_text(text).map_err(|msg| CkptError { path, msg })?;
     Ok((meta, tree, bytes))
 }
 
-/// Generation ids present in `dir` (by file name, decoded or not), newest
-/// first.
-pub fn list_generations(dir: &Path) -> Vec<u64> {
-    let mut gens: Vec<u64> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                name.strip_prefix("GEN_")?
-                    .strip_suffix(".bin")?
-                    .parse()
-                    .ok()
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    gens.sort_unstable_by(|a, b| b.cmp(a));
-    gens.dedup();
-    gens
-}
-
-/// What a tolerant store scan found — the typed verdict a restart path
-/// branches on instead of unwrapping a bare `Option` (mirrors the
-/// checkpoint `RestoreVerdict`).
-#[derive(Debug)]
-pub enum StoreVerdict {
-    /// An intact generation exists; `skipped_corrupt` newer files were
-    /// walked past (bit rot, torn writes, decode failures).
-    Usable {
-        /// Metadata of the newest intact generation.
-        meta: GenMeta,
-        /// Its decoded tree.
-        tree: DecisionTree,
-        /// Damaged newer generations skipped on the way down.
-        skipped_corrupt: u32,
-    },
-    /// The store directory has no generation files at all — a fresh start,
-    /// not a failure.
-    Empty,
-    /// Generation files exist but none decodes; resuming would silently
-    /// lose the committed lineage, so the caller must decide (fresh start
-    /// with the damage surfaced, or refuse).
-    AllCorrupt {
-        /// Generation files present, all damaged.
-        generations: u32,
-    },
-}
-
 /// Tolerant store walk: newest→oldest past damaged files to the first
-/// intact generation, with a typed verdict for the empty and all-corrupt
-/// cases. This is the crash-resume entry point.
-pub fn scan(dir: &Path) -> StoreVerdict {
-    let gens = list_generations(dir);
-    if gens.is_empty() {
-        return StoreVerdict::Empty;
-    }
-    let mut skipped = 0u32;
-    for generation in gens {
-        match load(dir, generation) {
-            Ok((meta, tree, _)) => {
-                return StoreVerdict::Usable {
-                    meta,
-                    tree,
-                    skipped_corrupt: skipped,
-                }
-            }
-            Err(_) => skipped += 1,
-        }
-    }
-    StoreVerdict::AllCorrupt {
-        generations: skipped,
-    }
-}
-
-/// The newest fully intact generation, walking past damaged newer files
-/// (returns the count walked past too). `None` when nothing intact exists.
-/// Thin wrapper over [`scan`] for callers that treat empty and all-corrupt
-/// alike; restart paths should branch on the [`StoreVerdict`] instead.
-pub fn latest(dir: &Path) -> Option<(GenMeta, DecisionTree, u32)> {
-    match scan(dir) {
-        StoreVerdict::Usable {
-            meta,
-            tree,
-            skipped_corrupt,
-        } => Some((meta, tree, skipped_corrupt)),
-        StoreVerdict::Empty | StoreVerdict::AllCorrupt { .. } => None,
-    }
-}
-
-/// What one [`gc`] pass did. `skipped` counts files that could not be
-/// removed — surfaced so a watchdog can report retention failures instead
-/// of letting disk usage grow unbounded in silence.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Generation files removed.
-    pub removed: u32,
-    /// Removals that failed (I/O error); the files are still on disk.
-    pub skipped: u32,
-}
-
-/// Keep-last-K retention after committing generation `newest`: remove
-/// every generation older than `newest + 1 - keep`. Host-side filesystem
-/// work, uncharged. I/O failures are counted, not swallowed.
-pub fn gc(dir: &Path, newest: u64, keep: usize) -> GcReport {
-    let floor = (newest + 1).saturating_sub(keep.max(1) as u64);
-    let mut report = GcReport::default();
-    for generation in list_generations(dir) {
-        if generation < floor {
-            match std::fs::remove_file(gen_file(dir, generation)) {
-                Ok(()) => report.removed += 1,
-                Err(_) => report.skipped += 1,
-            }
-        }
-    }
-    report
+/// intact generation, with its metadata and decoded tree — or a typed
+/// verdict for the empty and all-corrupt cases. This is the crash-resume
+/// entry point.
+pub fn scan(dir: &Path) -> Verdict<(GenMeta, DecisionTree)> {
+    STORE.scan(dir, |generation| {
+        let (meta, tree, _) = load(dir, generation)?;
+        Ok((meta, tree))
+    })
 }
 
 #[cfg(test)]
@@ -263,75 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn latest_walks_past_damaged_generations() {
-        let dir = store_dir("latest");
-        for g in 1..=3u64 {
-            commit(
-                &dir,
-                GenMeta {
-                    generation: g,
-                    window_lo: g * 10,
-                    window_hi: g * 10 + 100,
-                },
-                &tree_for(g),
-            )
-            .unwrap();
-        }
-        let (m, _, skipped) = latest(&dir).unwrap();
-        assert_eq!((m.generation, skipped), (3, 0));
-        // Bit-flip the newest: the scan lands on 2.
-        ckpt::damage_flip_bit(&gen_file(&dir, 3)).unwrap();
-        let (m, _, skipped) = latest(&dir).unwrap();
-        assert_eq!((m.generation, skipped), (2, 1));
-        // Tear 2 as well: the scan lands on 1.
-        ckpt::damage_truncate_tail(&gen_file(&dir, 2)).unwrap();
-        let (m, _, skipped) = latest(&dir).unwrap();
-        assert_eq!((m.generation, skipped), (1, 2));
-        // Remove 1: nothing intact remains.
-        ckpt::damage_remove(&gen_file(&dir, 1)).unwrap();
-        assert!(latest(&dir).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn gc_keeps_last_k_and_counts_removals() {
-        let dir = store_dir("gc");
-        let mut removed = 0;
-        for g in 0..5u64 {
-            commit(
-                &dir,
-                GenMeta {
-                    generation: g,
-                    window_lo: 0,
-                    window_hi: 10,
-                },
-                &tree_for(7),
-            )
-            .unwrap();
-            let r = gc(&dir, g, 2);
-            assert_eq!(r.skipped, 0);
-            removed += r.removed;
-        }
-        assert_eq!(removed, 3, "five commits, keep 2");
-        assert_eq!(list_generations(&dir), vec![4, 3]);
-        assert_eq!(
-            gc(&dir, 4, 1),
-            GcReport {
-                removed: 1,
-                skipped: 0
-            }
-        );
-        assert_eq!(list_generations(&dir), vec![4]);
-        // Floor underflow is safe, and a no-op pass reports zeros.
-        assert_eq!(gc(&dir, 0, 3), GcReport::default());
-        assert_eq!(list_generations(&dir), vec![4]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn scan_verdicts_cover_usable_empty_and_all_corrupt() {
         let dir = store_dir("scan");
-        assert!(matches!(scan(&dir), StoreVerdict::Empty));
+        assert!(matches!(scan(&dir), Verdict::Empty));
         for g in 1..=2u64 {
             commit(
                 &dir,
@@ -345,38 +149,30 @@ mod tests {
             .unwrap();
         }
         match scan(&dir) {
-            StoreVerdict::Usable {
-                meta,
-                skipped_corrupt,
-                ..
-            } => assert_eq!((meta.generation, skipped_corrupt), (2, 0)),
-            other => panic!("expected Usable, got {other:?}"),
+            Verdict::Usable {
+                value: (meta, tree),
+                skipped_corrupt: 0,
+            } => {
+                assert_eq!(meta.window_hi, 200);
+                assert_eq!(model_io::to_text(&tree), model_io::to_text(&tree_for(2)));
+            }
+            other => panic!("expected generation 2, got {other:?}"),
         }
-        // Damage the newest: the scan walks down with a skip count.
-        ckpt::damage_flip_bit(&gen_file(&dir, 2)).unwrap();
+        // A flipped top bit in the newest file's section count costs that
+        // generation, never the process.
+        let mut bytes = std::fs::read(gen_file(&dir, 2)).unwrap();
+        bytes[11] ^= 0x80;
+        std::fs::write(gen_file(&dir, 2), &bytes).unwrap();
         match scan(&dir) {
-            StoreVerdict::Usable {
-                meta,
+            Verdict::Usable {
+                value: (meta, _),
                 skipped_corrupt,
-                ..
             } => assert_eq!((meta.generation, skipped_corrupt), (1, 1)),
-            other => panic!("expected Usable, got {other:?}"),
+            other => panic!("expected generation 1, got {other:?}"),
         }
-        // Damage everything: AllCorrupt names the file count, distinct
-        // from Empty.
-        ckpt::damage_truncate_tail(&gen_file(&dir, 1)).unwrap();
-        match scan(&dir) {
-            StoreVerdict::AllCorrupt { generations } => assert_eq!(generations, 2),
-            other => panic!("expected AllCorrupt, got {other:?}"),
-        }
+        // A file filed under the wrong generation is corrupt too.
+        std::fs::rename(gen_file(&dir, 1), gen_file(&dir, 3)).unwrap();
+        assert!(matches!(scan(&dir), Verdict::AllCorrupt { generations: 2 }));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn empty_or_missing_dir_is_empty_store() {
-        let dir = store_dir("empty");
-        assert!(list_generations(&dir).is_empty());
-        assert!(latest(&dir).is_none());
-        assert!(load(&dir, 0).is_err());
     }
 }

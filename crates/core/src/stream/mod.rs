@@ -428,7 +428,7 @@ pub fn stream_on_comm(
                 if let Some(keep) = cfg.keep_generations {
                     // Retention failures are surfaced by the live runner's
                     // watchdog; the simulated pipeline just keeps going.
-                    let _ = genstore::gc(dir, generation, keep);
+                    let _ = genstore::STORE.gc(dir, generation, keep);
                 }
             }
             payload_bytes = comm.bcast(0, (rank == 0).then_some(payload_bytes));
@@ -657,8 +657,13 @@ mod tests {
         let r = run_stream(&data, &ParConfig::new(3), &cfg, Some(&dir)).report;
         assert_eq!(r.commits.len(), 2, "commits at 400 and 800");
         assert!(r.commits.iter().all(|c| c.payload_bytes > 0));
-        let (meta, tree, skipped) = genstore::latest(&dir).unwrap();
-        assert_eq!(skipped, 0);
+        let diskio::Verdict::Usable {
+            value: (meta, tree),
+            skipped_corrupt: 0,
+        } = genstore::scan(&dir)
+        else {
+            panic!("the newest generation must be intact")
+        };
         let last = r.commits.last().unwrap();
         assert_eq!(meta.generation, last.generation);
         assert_eq!(
@@ -666,7 +671,7 @@ mod tests {
             (last.window_lo, last.window_hi)
         );
         assert_eq!(model_io::to_text(&tree), last.tree_text);
-        assert_eq!(genstore::list_generations(&dir).len(), 2);
+        assert_eq!(genstore::STORE.list(&dir).len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

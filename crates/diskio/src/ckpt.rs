@@ -17,8 +17,12 @@
 //! save→load→save cycle is byte-identical).
 
 use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+
+use mpsim::fault::crc32;
+use mpsim::StorageFaultKind;
 
 /// `"SCPK"` in little-endian byte order.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"SCPK");
@@ -49,23 +53,10 @@ fn err(path: &Path, msg: impl Into<String>) -> CkptError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected), bitwise — checkpoint I/O is not a hot
-/// path and a table-free implementation keeps the crate std-only and small.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Write `sections` (tag, payload) as one checkpoint file, atomically:
 /// the bytes land in `<path>.tmp`, are fsynced, and renamed over `path`.
-pub fn write_sections(path: &Path, sections: &[(u32, &[u8])]) -> Result<(), CkptError> {
+/// Returns the payload bytes written (the basis of a simulated I/O charge).
+pub fn write_sections(path: &Path, sections: &[(u32, &[u8])]) -> Result<u64, CkptError> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir).map_err(|e| err(path, format!("create dir: {e}")))?;
     }
@@ -88,7 +79,8 @@ pub fn write_sections(path: &Path, sections: &[(u32, &[u8])]) -> Result<(), Ckpt
             .map_err(|e| err(&tmp, format!("write: {e}")))?;
         f.sync_all().map_err(|e| err(&tmp, format!("fsync: {e}")))?;
     }
-    fs::rename(&tmp, path).map_err(|e| err(path, format!("rename into place: {e}")))
+    fs::rename(&tmp, path).map_err(|e| err(path, format!("rename into place: {e}")))?;
+    Ok(sections.iter().map(|(_, p)| p.len() as u64).sum())
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -97,49 +89,46 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Read a checkpoint file back into its `(tag, payload)` sections,
-/// verifying magic, version, and every section CRC.
-pub fn read_sections(path: &Path) -> Result<Vec<(u32, Vec<u8>)>, CkptError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| err(path, format!("read: {e}")))?;
-    let mut r = ByteReader::new(&bytes);
-    let magic = r.u32().map_err(|e| err(path, e))?;
-    if magic != MAGIC {
-        return Err(err(path, format!("bad magic {magic:#010x}")));
-    }
-    let version = r.u32().map_err(|e| err(path, e))?;
-    if version != VERSION {
-        return Err(err(path, format!("unsupported version {version}")));
-    }
-    let count = r.u32().map_err(|e| err(path, e))? as usize;
-    let mut sections = Vec::with_capacity(count);
-    for i in 0..count {
-        let start = r.pos;
-        let tag = r.u32().map_err(|e| err(path, e))?;
-        let len = r.u64().map_err(|e| err(path, e))? as usize;
-        let payload = r
-            .bytes(len)
-            .map_err(|e| err(path, format!("section {i}: {e}")))?
-            .to_vec();
-        let stored = r.u32().map_err(|e| err(path, e))?;
-        let computed = crc32(&bytes[start..start + 4 + 8 + len]);
-        if stored != computed {
-            return Err(err(
-                path,
-                format!("section {i} (tag {tag}): CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"),
-            ));
+fn read_file(path: &Path) -> Result<Vec<u8>, CkptError> {
+    fs::read(path).map_err(|e| err(path, format!("read: {e}")))
+}
+
+/// Read a checkpoint file strictly — the first damaged section is the
+/// error, and so are bytes after the last declared section — and decode
+/// its `(tag, payload)` sections with `decode`, whose error is reported
+/// against the file. Returns the value and the payload bytes read (the
+/// basis of a simulated I/O charge).
+pub fn read_with<T>(
+    path: &Path,
+    decode: impl FnOnce(&[(u32, Vec<u8>)]) -> Result<T, String>,
+) -> Result<(T, u64), CkptError> {
+    let bytes = read_file(path)?;
+    let (frames, end) = walk(path, &bytes)?;
+    let mut sections = Vec::with_capacity(frames.len());
+    for (_, frame) in frames {
+        match frame {
+            SectionRead::Ok { tag, payload } => sections.push((tag, payload)),
+            SectionRead::Corrupt { msg, .. } => return Err(err(path, msg)),
         }
-        sections.push((tag, payload));
     }
-    if r.pos != bytes.len() {
+    if end != bytes.len() {
+        let trailing = bytes.len() - end;
         return Err(err(
             path,
-            format!("{} trailing bytes after last section", bytes.len() - r.pos),
+            format!("{trailing} trailing bytes after last section"),
         ));
     }
-    Ok(sections)
+    let value = decode(&sections).map_err(|msg| err(path, msg))?;
+    Ok((value, sections.iter().map(|(_, p)| p.len() as u64).sum()))
+}
+
+/// The payload of the first section tagged `tag`.
+pub fn section(sections: &[(u32, Vec<u8>)], tag: u32) -> Result<&[u8], String> {
+    sections
+        .iter()
+        .find(|(t, _)| *t == tag)
+        .map(|(_, p)| p.as_slice())
+        .ok_or_else(|| format!("missing section tag {tag}"))
 }
 
 /// One section of a tolerant read: either an intact payload or a typed
@@ -163,25 +152,37 @@ pub enum SectionRead {
     },
 }
 
+impl SectionRead {
+    /// Tag and payload, when the section is intact.
+    pub fn intact(&self) -> Option<(u32, &[u8])> {
+        match self {
+            SectionRead::Ok { tag, payload } => Some((*tag, payload)),
+            SectionRead::Corrupt { .. } => None,
+        }
+    }
+}
+
 /// Read a checkpoint file section by section, **isolating damage**: a
-/// section whose CRC fails is reported as [`SectionRead::Corrupt`] and the
-/// walk continues at the next section (the length field still locates it
-/// when only payload bytes flipped), so one damaged section never hides
-/// its intact neighbours. A truncation mid-file marks the current and
-/// every remaining declared section `Corrupt` — their bytes are gone.
-///
-/// Only header-level failures (unreadable file, bad magic, unsupported
-/// version) are an `Err`: past the header there is always a per-section
-/// verdict. A flipped bit in a *length* field desynchronizes the walk, but
-/// every subsequent pseudo-section then fails its CRC too — damage is
-/// always detected, never silently decoded. Trailing bytes after the last
-/// declared section are ignored.
+/// section whose CRC fails is `Corrupt` and the walk goes on to the next,
+/// so one damaged section never hides its intact neighbours (a flipped
+/// *length* desynchronizes the walk, but every later pseudo-section then
+/// fails its CRC too: damage is never decoded). A truncation marks the cut
+/// section and every later one `Corrupt`. Only header-level failures are
+/// an `Err`: unreadable file, bad magic, unsupported version, or a section
+/// count the file cannot hold at 16 bytes (tag + len + crc) per section.
+/// Trailing bytes after the last declared section are ignored.
 pub fn read_sections_tolerant(path: &Path) -> Result<Vec<SectionRead>, CkptError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| err(path, format!("read: {e}")))?;
-    let mut r = ByteReader::new(&bytes);
+    let bytes = read_file(path)?;
+    Ok(walk(path, &bytes)?.0.into_iter().map(|(_, s)| s).collect())
+}
+
+type Frames = Vec<(Range<usize>, SectionRead)>;
+
+/// The one section walk under every reader: a verdict per declared section
+/// (see [`read_sections_tolerant`]) with its payload's byte range, and the
+/// offset just past the last declared section.
+fn walk(path: &Path, bytes: &[u8]) -> Result<(Frames, usize), CkptError> {
+    let mut r = ByteReader::new(bytes);
     let magic = r.u32().map_err(|e| err(path, e))?;
     if magic != MAGIC {
         return Err(err(path, format!("bad magic {magic:#010x}")));
@@ -191,103 +192,104 @@ pub fn read_sections_tolerant(path: &Path) -> Result<Vec<SectionRead>, CkptError
         return Err(err(path, format!("unsupported version {version}")));
     }
     let count = r.u32().map_err(|e| err(path, e))? as usize;
-    let mut sections = Vec::with_capacity(count);
-    for i in 0..count {
+    let room = bytes.len() - r.pos;
+    if count > room / 16 {
+        return Err(err(
+            path,
+            format!("section count {count} cannot fit in {room} bytes"),
+        ));
+    }
+    let lost = |tag, msg| (0..0, SectionRead::Corrupt { tag, msg });
+    let mut frames = Vec::with_capacity(count);
+    while frames.len() < count {
+        let i = frames.len();
         let start = r.pos;
-        let header = (|| -> Result<(u32, usize), String> {
-            let tag = r.u32()?;
-            let len = r.u64()? as usize;
-            Ok((tag, len))
-        })();
-        let (tag, len) = match header {
-            Ok(h) => h,
+        let (tag, len) = match r.u32().and_then(|tag| Ok((tag, r.u64()? as usize))) {
+            Ok(header) => header,
             Err(e) => {
-                // The header itself is truncated: this section and every
-                // later one are gone.
-                for j in i..count {
-                    sections.push(SectionRead::Corrupt {
-                        tag: None,
-                        msg: if j == i {
-                            format!("section {j}: {e}")
-                        } else {
-                            format!("section {j}: lost to earlier truncation")
-                        },
-                    });
-                }
-                return Ok(sections);
+                frames.push(lost(None, format!("section {i}: {e}")));
+                break;
             }
         };
-        match r.bytes(len).and_then(|_| {
-            let stored = r.u32()?;
-            Ok(stored)
-        }) {
-            Ok(stored) => {
-                let computed = crc32(&bytes[start..start + 4 + 8 + len]);
-                if stored == computed {
-                    sections.push(SectionRead::Ok {
-                        tag,
-                        payload: bytes[start + 12..start + 12 + len].to_vec(),
-                    });
-                } else {
-                    sections.push(SectionRead::Corrupt {
-                        tag: Some(tag),
-                        msg: format!(
-                            "section {i} (tag {tag}): CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                        ),
-                    });
-                }
-            }
+        let at = r.pos;
+        let stored = match r.bytes(len).and_then(|_| r.u32()) {
+            Ok(stored) => stored,
             Err(e) => {
-                // Payload or CRC truncated: nothing after it is locatable.
-                for j in i..count {
-                    sections.push(SectionRead::Corrupt {
-                        tag: if j == i { Some(tag) } else { None },
-                        msg: if j == i {
-                            format!("section {j} (tag {tag}): {e}")
-                        } else {
-                            format!("section {j}: lost to earlier truncation")
-                        },
-                    });
-                }
-                return Ok(sections);
+                frames.push(lost(Some(tag), format!("section {i} (tag {tag}): {e}")));
+                break;
             }
+        };
+        let computed = crc32(&bytes[start..at + len]);
+        let read = if stored == computed {
+            SectionRead::Ok {
+                tag,
+                payload: bytes[at..at + len].to_vec(),
+            }
+        } else {
+            SectionRead::Corrupt {
+                tag: Some(tag),
+                msg: format!(
+                    "section {i} (tag {tag}): CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
+                ),
+            }
+        };
+        frames.push((at..at + len, read));
+    }
+    // A truncation loses every later section.
+    for i in frames.len()..count {
+        frames.push(lost(
+            None,
+            format!("section {i}: lost to earlier truncation"),
+        ));
+    }
+    Ok((frames, r.pos))
+}
+
+/// Damage a committed file the way storage does, repeatably — for chaos
+/// harnesses and tests, so it bypasses the atomic write on purpose: bit
+/// rot, a torn flush or a lost file *after* the commit is what the CRCs
+/// exist to detect. The target is the whole file (`section: None`) or the
+/// payload of the first intact section tagged `section`. `TornWrite` cuts
+/// the file in the middle of the target, `BitFlip` flips one bit there,
+/// and `MissingFile` removes the file, or rewrites it with its other
+/// intact sections. A missing file or section is an error.
+pub fn damage(path: &Path, kind: StorageFaultKind, section: Option<u32>) -> Result<(), CkptError> {
+    let mut bytes = read_file(path)?;
+    let target = match section {
+        None => 0..bytes.len(),
+        Some(want) => {
+            let frames = walk(path, &bytes)?.0;
+            // A bit flip needs a payload byte to land on.
+            let at = frames
+                .iter()
+                .find(|(at, s)| {
+                    let tag = s.intact().map(|(tag, _)| tag);
+                    tag == Some(want) && (kind != StorageFaultKind::BitFlip || !at.is_empty())
+                })
+                .ok_or_else(|| err(path, format!("no intact section with tag {want}")))?
+                .0
+                .clone();
+            if kind == StorageFaultKind::MissingFile {
+                let kept: Vec<(u32, &[u8])> = frames
+                    .iter()
+                    .filter(|(r, _)| *r != at)
+                    .filter_map(|(_, s)| s.intact())
+                    .collect();
+                return write_sections(path, &kept).map(|_| ());
+            }
+            at
         }
+    };
+    let mid = target.start + target.len() / 2;
+    match kind {
+        StorageFaultKind::MissingFile => {
+            return fs::remove_file(path).map_err(|e| err(path, format!("remove: {e}")))
+        }
+        StorageFaultKind::TornWrite => bytes.truncate(mid),
+        StorageFaultKind::BitFlip if target.is_empty() => {}
+        StorageFaultKind::BitFlip => bytes[mid] ^= 0x10,
     }
-    Ok(sections)
-}
-
-// ----- deterministic damage (fault injection) ------------------------------
-//
-// Chaos harnesses need to damage checkpoint files the way real storage
-// does, repeatably. These primitives bypass the atomic-write path on
-// purpose: they model corruption *after* a successful commit (bit rot, a
-// torn flush the rename already acknowledged, a lost file), which is
-// exactly what the CRC layer above exists to detect.
-
-/// Drop the trailing quarter of the file (at least one byte): the classic
-/// torn write. `read_sections` reports truncation or a CRC mismatch.
-pub fn damage_truncate_tail(path: &Path) -> Result<(), CkptError> {
-    let bytes = fs::read(path).map_err(|e| err(path, format!("read: {e}")))?;
-    let keep = bytes.len().saturating_sub((bytes.len() / 4).max(1));
-    fs::write(path, &bytes[..keep]).map_err(|e| err(path, format!("write: {e}")))
-}
-
-/// Flip one bit in the middle of the file: silent media corruption.
-/// `read_sections` reports a CRC mismatch (or bad magic, for tiny files).
-pub fn damage_flip_bit(path: &Path) -> Result<(), CkptError> {
-    let mut bytes = fs::read(path).map_err(|e| err(path, format!("read: {e}")))?;
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
     fs::write(path, &bytes).map_err(|e| err(path, format!("write: {e}")))
-}
-
-/// Remove the file entirely (lost volume, operator error). Missing files
-/// are already an error from `read_sections`.
-pub fn damage_remove(path: &Path) -> Result<(), CkptError> {
-    fs::remove_file(path).map_err(|e| err(path, format!("remove: {e}")))
 }
 
 /// Little-endian value encoder for checkpoint payloads.
@@ -325,14 +327,6 @@ impl ByteWriter {
 
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -391,6 +385,10 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
+    fn read_sections(path: &Path) -> Result<Vec<(u32, Vec<u8>)>, CkptError> {
+        read_with(path, |s| Ok(s.to_vec())).map(|(s, _)| s)
+    }
+
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("scalparc-ckpt-{name}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
@@ -442,23 +440,72 @@ mod tests {
     fn damage_primitives_defeat_reads_detectably() {
         let dir = tmp_dir("damage");
         let payload = vec![0xabu8; 256];
-        for (name, damage) in [
-            (
-                "torn",
-                damage_truncate_tail as fn(&Path) -> Result<(), CkptError>,
-            ),
-            ("flip", damage_flip_bit),
-            ("gone", damage_remove),
+        for kind in [
+            StorageFaultKind::TornWrite,
+            StorageFaultKind::BitFlip,
+            StorageFaultKind::MissingFile,
         ] {
-            let path = dir.join(format!("{name}.bin"));
+            let path = dir.join(format!("{}.bin", kind.label()));
             write_sections(&path, &[(1, &payload)]).unwrap();
             assert!(read_sections(&path).is_ok());
-            damage(&path).unwrap();
+            damage(&path, kind, None).unwrap();
             assert!(
                 read_sections(&path).is_err(),
-                "{name}: damage must be detected, never silently decoded"
+                "{kind:?}: damage must be detected, never silently decoded"
             );
         }
+        let absent = dir.join("absent.bin");
+        assert!(damage(&absent, StorageFaultKind::BitFlip, None).is_err());
+        // Section damage hits only the named section.
+        let path = dir.join("sections.bin");
+        let sections: [(u32, &[u8]); 3] = [(1, b"first"), (2, &payload), (3, b"third")];
+        for kind in [StorageFaultKind::BitFlip, StorageFaultKind::MissingFile] {
+            write_sections(&path, &sections).unwrap();
+            damage(&path, kind, Some(2)).unwrap();
+            let back = read_sections_tolerant(&path).unwrap();
+            let intact = |tag: u32, body: &[u8]| SectionRead::Ok {
+                tag,
+                payload: body.to_vec(),
+            };
+            assert_eq!(back[0], intact(1, b"first"), "{kind:?}");
+            assert_eq!(back.last(), Some(&intact(3, b"third")), "{kind:?}");
+            assert_eq!(
+                back.len(),
+                3 - (kind == StorageFaultKind::MissingFile) as usize
+            );
+        }
+        write_sections(&path, &sections).unwrap();
+        damage(&path, StorageFaultKind::TornWrite, Some(2)).unwrap();
+        let back = read_sections_tolerant(&path).unwrap();
+        assert!(matches!(back[1], SectionRead::Corrupt { tag: Some(2), .. }));
+        assert!(matches!(back[2], SectionRead::Corrupt { tag: None, .. }));
+        assert!(
+            damage(&path, StorageFaultKind::BitFlip, Some(9)).is_err(),
+            "no such section"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_section_count_is_a_typed_error() {
+        let dir = tmp_dir("count");
+        let path = dir.join("a.bin");
+        write_sections(&path, &[(1, b"payload-bytes")]).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        // The top bit of the count field: 2^31 + 1 declared sections.
+        bytes[11] ^= 0x80;
+        fs::write(&path, &bytes).unwrap();
+        let e = read_sections(&path).unwrap_err();
+        assert!(e.msg.contains("section count"), "{e}");
+        assert!(read_sections_tolerant(&path).is_err());
+        // A count that fits is walked: one intact section, one lost.
+        bytes[11] ^= 0x80;
+        bytes[8] = 2;
+        bytes.extend_from_slice(&[0; 16]);
+        fs::write(&path, &bytes).unwrap();
+        let back = read_sections_tolerant(&path).unwrap();
+        assert!(matches!(back[0], SectionRead::Ok { tag: 1, .. }));
+        assert!(matches!(back[1], SectionRead::Corrupt { tag: Some(0), .. }));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -505,10 +552,11 @@ mod tests {
     fn tolerant_read_marks_truncated_tail_sections() {
         let dir = tmp_dir("tolerant-trunc");
         let path = dir.join("a.bin");
-        write_sections(&path, &[(7, b"keep-me-around"), (8, b"gone"), (9, b"also")]).unwrap();
+        let gone = b"gone-gone-gone-gone-gone";
+        write_sections(&path, &[(7, b"keep-me-around"), (8, gone), (9, b"also")]).unwrap();
         let bytes = fs::read(&path).unwrap();
         // Cut mid-way through section 8's payload.
-        let keep = 12 + (4 + 8 + 14 + 4) + 12 + 2;
+        let keep = 12 + (4 + 8 + 14 + 4) + 12 + 12;
         fs::write(&path, &bytes[..keep]).unwrap();
         let back = read_sections_tolerant(&path).unwrap();
         assert_eq!(back.len(), 3);
@@ -523,7 +571,10 @@ mod tests {
             "{:?}",
             back[2]
         );
-        // Header-level damage is still a hard error.
+        // Header-level damage is still a hard error, and so is a cut that
+        // leaves less than one minimal 16-byte frame per declared section.
+        fs::write(&path, &bytes[..keep - 10]).unwrap();
+        assert!(read_sections_tolerant(&path).is_err());
         fs::write(&path, b"XXXXYYYYZZZZ").unwrap();
         assert!(read_sections_tolerant(&path).is_err());
         fs::remove_dir_all(&dir).unwrap();

@@ -33,10 +33,12 @@ pub mod ooc_store;
 pub mod record;
 pub mod sprint_ooc;
 pub mod stats;
+pub mod store;
 
-pub use ckpt::{read_sections, write_sections, ByteReader, ByteWriter, CkptError};
+pub use ckpt::{read_with, write_sections, ByteReader, ByteWriter, CkptError};
 pub use file::{DiskChunks, DiskVec};
 pub use ooc_store::{OocAttrStore, OocList};
 pub use record::Record;
 pub use sprint_ooc::{induce_ooc, OocConfig, OocStats};
 pub use stats::IoStats;
+pub use store::{GcReport, Skip, Store, Verdict};

@@ -9,21 +9,12 @@
 //! attempts, so a fault that already fired does not re-kill the restarted
 //! thread at the same position.
 //!
-//! Storage damage ([`StorageDamage`]) is the between-runs fault: the chaos
-//! harness applies it to the generation store while the process is "down",
-//! then asserts that crash-resume degrades gracefully (skips the damaged
-//! newest file, resumes from the newest intact one).
-//!
 //! Every injected panic message carries the `"[injected]"` marker so
 //! [`serve::sync::hush_injected_panics`] can silence the expected panic
 //! reports in chaos runs.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-use diskio::ckpt;
-use scalparc::stream::genstore;
 
 /// One scripted fault; positions are absolute global record indices, so a
 /// plan means the same thing across restarts and against the oracle.
@@ -131,42 +122,6 @@ impl LiveFaultPlan {
     }
 }
 
-/// How to damage a committed generation file on disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DamageKind {
-    /// Flip one payload bit (CRC mismatch on load).
-    FlipBit,
-    /// Truncate the file mid-payload (torn write).
-    TruncateTail,
-    /// Delete the file outright.
-    Remove,
-}
-
-/// Between-runs storage fault: damage `generation`'s file in the store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StorageDamage {
-    /// Generation whose committed file is damaged.
-    pub generation: u64,
-    /// What kind of damage.
-    pub kind: DamageKind,
-}
-
-impl StorageDamage {
-    /// Apply the damage to the store at `dir`. Returns `false` if the
-    /// target file does not exist (nothing was damaged).
-    pub fn apply(&self, dir: &Path) -> bool {
-        let path = genstore::gen_file(dir, self.generation);
-        if !path.exists() {
-            return false;
-        }
-        match self.kind {
-            DamageKind::FlipBit => ckpt::damage_flip_bit(&path).is_ok(),
-            DamageKind::TruncateTail => ckpt::damage_truncate_tail(&path).is_ok(),
-            DamageKind::Remove => ckpt::damage_remove(&path).is_ok(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,18 +151,5 @@ mod tests {
         assert!(!plan.trainer_panic_after_commit(1));
         assert!(plan.trainer_panic_after_commit(2));
         assert!(!plan.trainer_panic_after_commit(2));
-    }
-
-    #[test]
-    fn storage_damage_reports_missing_targets() {
-        let dir = std::env::temp_dir().join(format!("scalparc-fault-none-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let dmg = StorageDamage {
-            generation: 7,
-            kind: DamageKind::Remove,
-        };
-        assert!(!dmg.apply(&dir), "no such generation file");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -37,7 +37,7 @@ pub mod queue;
 pub mod source;
 pub mod supervisor;
 
-pub use fault::{DamageKind, LiveFault, LiveFaultPlan, StorageDamage};
+pub use fault::{LiveFault, LiveFaultPlan};
 pub use live::{run_live, LiveConfig, LiveReport, SwapEvent};
 pub use queue::{IngestQueue, TryPushError};
 pub use scalparc::stream::{

@@ -65,11 +65,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use diskio::Verdict;
 use dtree::data::Dataset;
 use dtree::flat::FlatTree;
 use dtree::model_io;
+use dtree::tree::DecisionTree;
 use scalparc::stream::accum::LeafStats;
-use scalparc::stream::genstore::{self, GenMeta, StoreVerdict};
+use scalparc::stream::genstore::{self, GenMeta};
 use scalparc::stream::{BlockPoint, BlockSource, StreamConfig, Trigger};
 use scalparc::{induce, ParConfig};
 use serve::sync;
@@ -235,15 +237,12 @@ fn commit_and_publish(
 ) -> (FlatTree, SwapEvent) {
     let result = induce(window, &ParConfig::new(cfg.induce_procs.max(1)));
     let flat = FlatTree::compile(&result.tree);
-    let mut payload_bytes = 0;
-    if let Some(dir) = &cfg.store {
-        let meta = GenMeta {
-            generation,
-            window_lo,
-            window_hi,
-        };
-        payload_bytes = genstore::commit(dir, meta, &result.tree).expect("generation commit");
-    }
+    let meta = GenMeta {
+        generation,
+        window_lo,
+        window_hi,
+    };
+    let payload_bytes = store_commit(cfg, meta, &result.tree);
     // The torn window: committed to the store, not yet published. A crash
     // here is healed on restart by re-inducing the same window and
     // re-committing the byte-identical file.
@@ -266,6 +265,14 @@ fn commit_and_publish(
         payload_bytes,
     };
     (flat, event)
+}
+
+/// Commit `tree` to the configured generation store, if any; returns the
+/// payload bytes written (0 without a store).
+fn store_commit(cfg: &LiveConfig, meta: GenMeta, tree: &DecisionTree) -> u64 {
+    cfg.store.as_ref().map_or(0, |dir| {
+        genstore::commit(dir, meta, tree).expect("generation commit")
+    })
 }
 
 /// Run the live streaming system over `source` until the stream is
@@ -291,24 +298,21 @@ pub fn run_live(source: &dyn BlockSource, stream: &StreamConfig, cfg: &LiveConfi
     // Crash-resume: the newest intact committed generation, if asked for
     // and available, replaces the bootstrap induction entirely.
     let mut recovered: Option<(FlatTree, u64, u64)> = None;
-    if cfg.resume {
-        if let Some(dir) = &cfg.store {
-            match genstore::scan(dir) {
-                StoreVerdict::Usable {
-                    meta,
-                    tree,
-                    skipped_corrupt,
-                } => {
-                    store_skipped_corrupt = skipped_corrupt;
-                    resumed_from = Some(meta.generation);
-                    recovered = Some((FlatTree::compile(&tree), meta.generation, meta.window_hi));
-                }
-                StoreVerdict::Empty => {}
-                StoreVerdict::AllCorrupt { generations } => {
-                    // Nothing trustworthy on disk: fall back to a fresh
-                    // bootstrap, but report what was skipped.
-                    store_skipped_corrupt = generations;
-                }
+    if let (true, Some(dir)) = (cfg.resume, &cfg.store) {
+        match genstore::scan(dir) {
+            Verdict::Usable {
+                value: (meta, tree),
+                skipped_corrupt,
+            } => {
+                store_skipped_corrupt = skipped_corrupt;
+                resumed_from = Some(meta.generation);
+                recovered = Some((FlatTree::compile(&tree), meta.generation, meta.window_hi));
+            }
+            Verdict::Empty => {}
+            // Nothing trustworthy on disk: fall back to a fresh bootstrap,
+            // but report what was skipped.
+            Verdict::AllCorrupt { generations } | Verdict::Foreign { generations } => {
+                store_skipped_corrupt = generations
             }
         }
     }
@@ -326,19 +330,12 @@ pub fn run_live(source: &dyn BlockSource, stream: &StreamConfig, cfg: &LiveConfi
             let boot_data = source.block(0, boot_hi);
             let result = induce(&boot_data, &ParConfig::new(cfg.induce_procs.max(1)));
             let flat = FlatTree::compile(&result.tree);
-            let mut payload_bytes = 0;
-            if let Some(dir) = &cfg.store {
-                payload_bytes = genstore::commit(
-                    dir,
-                    GenMeta {
-                        generation: 0,
-                        window_lo: 0,
-                        window_hi: boot_hi as u64,
-                    },
-                    &result.tree,
-                )
-                .expect("bootstrap commit");
-            }
+            let meta = GenMeta {
+                generation: 0,
+                window_lo: 0,
+                window_hi: boot_hi as u64,
+            };
+            let payload_bytes = store_commit(cfg, meta, &result.tree);
             swaps0.push(SwapEvent {
                 generation: 0,
                 trigger: Trigger::Count,
@@ -524,7 +521,7 @@ pub fn run_live(source: &dyn BlockSource, stream: &StreamConfig, cfg: &LiveConfi
             );
             let mut skips = 0u32;
             if let (Some(dir), Some(keep)) = (&cfg.store, stream.keep_generations) {
-                skips = genstore::gc(dir, next_gen, keep).skipped;
+                skips = genstore::STORE.gc(dir, next_gen, keep).skipped;
             }
             {
                 // The commit boundary: everything a resume needs moves
@@ -917,13 +914,12 @@ mod tests {
         // identical bytes: no generation lost, sequence identical.
         assert_same_commits(&live, &sim);
         assert_eq!(live.supervisor.trainer_panics, 1);
-        let gens = genstore::list_generations(&dir);
+        let gens = genstore::STORE.list(&dir);
         assert_eq!(gens.len(), live.swaps.len());
         match genstore::scan(&dir) {
-            StoreVerdict::Usable {
-                meta,
+            Verdict::Usable {
+                value: (meta, _),
                 skipped_corrupt,
-                ..
             } => {
                 assert_eq!(meta.generation, live.swaps.last().unwrap().generation);
                 assert_eq!(skipped_corrupt, 0, "no torn file left behind");
@@ -949,13 +945,12 @@ mod tests {
             },
         );
         assert!(live.swaps.iter().all(|s| s.payload_bytes > 0));
-        let gens = genstore::list_generations(&dir);
+        let gens = genstore::STORE.list(&dir);
         assert_eq!(gens.len(), live.swaps.len());
         // The typed scan verdict names the newest intact generation.
         match genstore::scan(&dir) {
-            StoreVerdict::Usable {
-                meta,
-                tree,
+            Verdict::Usable {
+                value: (meta, tree),
                 skipped_corrupt,
             } => {
                 let last = live.swaps.last().unwrap();

@@ -433,7 +433,8 @@ fn gc_retains_keep_last_k_files() {
         "need more levels than the retention window"
     );
     let last = run.levels - 1;
-    assert_eq!(checkpoint::list_generations(&dir), vec![last, last - 1]);
+    let last = u64::from(last);
+    assert_eq!(checkpoint::STORE.list(&dir), vec![last, last - 1]);
     let files = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(
         files,

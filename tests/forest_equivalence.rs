@@ -11,10 +11,11 @@
 //! shape can never leak into the model.
 
 use datagen::{generate, ClassFunc, GenConfig, Profile};
+use diskio::ckpt;
 use dtree::flat_forest::{FlatForest, VoteReduce};
 use dtree::testgen::{self, TestRng};
 use dtree::{model_io, Dataset};
-use mpsim::{CrashPoint, FaultPlan, MachineCfg};
+use mpsim::{CrashPoint, FaultPlan, MachineCfg, StorageFaultKind};
 use proptest::prelude::*;
 use scalparc::forest::{self, train_forest, ForestConfig, ForestSchedule, TreeVerdict};
 use scalparc::{train_forest_with_recovery, ForestFaultPlan, ForestRecoveryPolicy, ParConfig};
@@ -105,7 +106,8 @@ fn forest_container_roundtrip_and_corruption() {
 
     // A flipped bit in one tree's section: that slot Corrupt, the others
     // clean, and the degraded replica still serves via `with_missing`.
-    forest::damage_tree_section(&path, 2).unwrap();
+    let tree_2 = Some(forest::TREE_SECTION_BASE + 2);
+    ckpt::damage(&path, StorageFaultKind::BitFlip, tree_2).unwrap();
     let v = forest::load_forest(&path).unwrap();
     assert_eq!(v.planned, 3);
     assert!(matches!(v.trees[2], TreeVerdict::Corrupt(_)));
@@ -333,11 +335,13 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("forest.scpf");
         forest::save_forest(&trees, &path).unwrap();
-        if truncate {
-            forest::truncate_at_tree_section(&path, victim).unwrap();
+        let kind = if truncate {
+            StorageFaultKind::TornWrite
         } else {
-            forest::damage_tree_section(&path, victim).unwrap();
-        }
+            StorageFaultKind::BitFlip
+        };
+        let section = Some(forest::TREE_SECTION_BASE + victim as u32);
+        ckpt::damage(&path, kind, section).unwrap();
         let v = forest::load_forest(&path).unwrap();
         prop_assert_eq!(v.planned, k);
         prop_assert!(!v.trees[victim].is_ok(), "victim slot must not load");

@@ -25,14 +25,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use datagen::{ClassFunc, DriftKind, GenConfig};
+use diskio::ckpt;
 use dtree::flat::FlatTree;
 use dtree::model_io;
+use mpsim::StorageFaultKind;
 use proptest::prelude::*;
 use scalparc::stream::accum::{LeafStats, StreamAccum};
+use scalparc::stream::genstore;
 use scalparc::stream::{run_stream, BlockSource, StreamConfig, StreamReport};
 use scalparc::ParConfig;
 use serve::{ModelSlot, Request, ResponseStatus, ServeConfig, ServeModel, Server};
-use stream::{quest_sketch, run_live, DamageKind, DriftSource, Health, LiveConfig, StorageDamage};
+use stream::{quest_sketch, run_live, DriftSource, Health, LiveConfig};
 
 fn drift_source(n: usize, seed: u64) -> DriftSource {
     DriftSource::new(
@@ -206,14 +209,8 @@ fn kill_resume_roundtrip(damage_newest: bool) {
 
     let newest = life_a.swaps.last().unwrap().generation;
     let expect_resume = if damage_newest {
-        assert!(
-            StorageDamage {
-                generation: newest,
-                kind: DamageKind::TruncateTail,
-            }
-            .apply(&dir),
-            "damaging GEN_{newest}"
-        );
+        let newest_file = genstore::gen_file(&dir, newest);
+        ckpt::damage(&newest_file, StorageFaultKind::TornWrite, None).expect("damaging newest");
         newest - 1
     } else {
         newest
